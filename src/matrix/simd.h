@@ -1,6 +1,7 @@
 #ifndef RMA_MATRIX_SIMD_H_
 #define RMA_MATRIX_SIMD_H_
 
+#include <cmath>
 #include <cstdint>
 #include <string>
 
@@ -17,9 +18,14 @@
 /// Numerics contract: the element-wise kernels (Add/Sub/Mul/Axpy/Scale) are
 /// bit-identical to their scalar loops — no FMA contraction, same per-element
 /// operation, scalar tail for the last `n % Width()` elements. The reductions
-/// (Dot/Sum/SumSquares) use lane-wise partial sums (and FMA contraction on
-/// x86), so they associate differently from the scalar left fold; callers
-/// must not rely on bit-equality of reduction results across ISAs.
+/// (Dot/Sum/SumSquares) use lane-wise partial sums (and fused multiply-add in
+/// the vector dot products), so they associate differently from the scalar
+/// left fold; callers must not rely on bit-equality of reduction results
+/// across ISAs. Each grouped form (Dot4, Axpy4, AxpyTo4) gives, bit for bit,
+/// what its single-column form (Dot, Axpy) gives on the same path, so any
+/// split of columns across threads gives the same result. The dot products'
+/// scalar tails therefore use an explicit std::fma, never a plain `s += a*b`
+/// whose contraction is left to the compiler and may differ between kernels.
 
 #if !defined(RMA_FORCE_SCALAR_BUILD)
 #if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
@@ -138,7 +144,7 @@ __attribute__((target("avx2,fma"))) inline double DotAvx2(const double* a,
                            acc0);
   }
   double s = HSumAvx2(_mm256_add_pd(acc0, acc1));
-  for (; i < n; ++i) s += a[i] * b[i];
+  for (; i < n; ++i) s = std::fma(a[i], b[i], s);
   return s;
 }
 
@@ -225,14 +231,16 @@ inline void ScaleNeon(double alpha, double* x, int64_t n) {
   for (; i < n; ++i) x[i] *= alpha;
 }
 
+// Explicit vfmaq/std::fma rather than mul+add the compiler may or may not
+// contract, so Dot4Neon can reproduce this column for column.
 inline double DotNeon(const double* a, const double* b, int64_t n) {
   float64x2_t acc = vdupq_n_f64(0.0);
   int64_t i = 0;
   for (; i + 2 <= n; i += 2) {
-    acc = vaddq_f64(acc, vmulq_f64(vld1q_f64(a + i), vld1q_f64(b + i)));
+    acc = vfmaq_f64(acc, vld1q_f64(a + i), vld1q_f64(b + i));
   }
   double s = vaddvq_f64(acc);
-  for (; i < n; ++i) s += a[i] * b[i];
+  for (; i < n; ++i) s = std::fma(a[i], b[i], s);
   return s;
 }
 
@@ -320,32 +328,55 @@ __attribute__((target("avx2"))) inline void Unpack4Avx2(
   }
 }
 
-// Four dot products sharing one pass over `v`: out[q] = Σ v[i]*c_q[i].
+// Four dot products sharing one pass over `v`: out[q] = Σ v[i]*c_q[i]. Each
+// column follows DotAvx2's reduction order exactly (lo/hi accumulators over
+// 8-wide steps, one 4-wide step into lo, HSum(lo + hi), fused tail), so
+// out[q] is bit-identical to DotAvx2(v, c_q, n).
 __attribute__((target("avx2,fma"))) inline void Dot4Avx2(
     const double* v, const double* c0, const double* c1, const double* c2,
     const double* c3, int64_t n, double out[4]) {
-  __m256d a0 = _mm256_setzero_pd();
-  __m256d a1 = _mm256_setzero_pd();
-  __m256d a2 = _mm256_setzero_pd();
-  __m256d a3 = _mm256_setzero_pd();
+  __m256d lo0 = _mm256_setzero_pd();
+  __m256d lo1 = _mm256_setzero_pd();
+  __m256d lo2 = _mm256_setzero_pd();
+  __m256d lo3 = _mm256_setzero_pd();
+  __m256d hi0 = _mm256_setzero_pd();
+  __m256d hi1 = _mm256_setzero_pd();
+  __m256d hi2 = _mm256_setzero_pd();
+  __m256d hi3 = _mm256_setzero_pd();
   int64_t i = 0;
+  for (; i + 8 <= n; i += 8) {
+    const __m256d vlo = _mm256_loadu_pd(v + i);
+    const __m256d vhi = _mm256_loadu_pd(v + i + 4);
+    lo0 = _mm256_fmadd_pd(vlo, _mm256_loadu_pd(c0 + i), lo0);
+    hi0 = _mm256_fmadd_pd(vhi, _mm256_loadu_pd(c0 + i + 4), hi0);
+    lo1 = _mm256_fmadd_pd(vlo, _mm256_loadu_pd(c1 + i), lo1);
+    hi1 = _mm256_fmadd_pd(vhi, _mm256_loadu_pd(c1 + i + 4), hi1);
+    lo2 = _mm256_fmadd_pd(vlo, _mm256_loadu_pd(c2 + i), lo2);
+    hi2 = _mm256_fmadd_pd(vhi, _mm256_loadu_pd(c2 + i + 4), hi2);
+    lo3 = _mm256_fmadd_pd(vlo, _mm256_loadu_pd(c3 + i), lo3);
+    hi3 = _mm256_fmadd_pd(vhi, _mm256_loadu_pd(c3 + i + 4), hi3);
+  }
   for (; i + 4 <= n; i += 4) {
     const __m256d vv = _mm256_loadu_pd(v + i);
-    a0 = _mm256_fmadd_pd(vv, _mm256_loadu_pd(c0 + i), a0);
-    a1 = _mm256_fmadd_pd(vv, _mm256_loadu_pd(c1 + i), a1);
-    a2 = _mm256_fmadd_pd(vv, _mm256_loadu_pd(c2 + i), a2);
-    a3 = _mm256_fmadd_pd(vv, _mm256_loadu_pd(c3 + i), a3);
+    lo0 = _mm256_fmadd_pd(vv, _mm256_loadu_pd(c0 + i), lo0);
+    lo1 = _mm256_fmadd_pd(vv, _mm256_loadu_pd(c1 + i), lo1);
+    lo2 = _mm256_fmadd_pd(vv, _mm256_loadu_pd(c2 + i), lo2);
+    lo3 = _mm256_fmadd_pd(vv, _mm256_loadu_pd(c3 + i), lo3);
   }
-  out[0] = HSumAvx2(a0);
-  out[1] = HSumAvx2(a1);
-  out[2] = HSumAvx2(a2);
-  out[3] = HSumAvx2(a3);
+  double s0 = HSumAvx2(_mm256_add_pd(lo0, hi0));
+  double s1 = HSumAvx2(_mm256_add_pd(lo1, hi1));
+  double s2 = HSumAvx2(_mm256_add_pd(lo2, hi2));
+  double s3 = HSumAvx2(_mm256_add_pd(lo3, hi3));
   for (; i < n; ++i) {
-    out[0] += v[i] * c0[i];
-    out[1] += v[i] * c1[i];
-    out[2] += v[i] * c2[i];
-    out[3] += v[i] * c3[i];
+    s0 = std::fma(v[i], c0[i], s0);
+    s1 = std::fma(v[i], c1[i], s1);
+    s2 = std::fma(v[i], c2[i], s2);
+    s3 = std::fma(v[i], c3[i], s3);
   }
+  out[0] = s0;
+  out[1] = s1;
+  out[2] = s2;
+  out[3] = s3;
 }
 
 // Rank-4 update: y[i] += a0*x0[i] + a1*x1[i] + a2*x2[i] + a3*x3[i], with the
@@ -400,7 +431,43 @@ __attribute__((target("avx2"))) inline void AxpyTo4Avx2(
   }
 }
 
-#endif  // RMA_SIMD_AVX2
+#elif defined(RMA_SIMD_NEON)
+
+// Four dot products sharing one pass over `v`, each column in DotNeon's
+// order (one 2-lane fused accumulator, fused tail), so out[q] is
+// bit-identical to DotNeon(v, c_q, n).
+inline void Dot4Neon(const double* v, const double* c0, const double* c1,
+                     const double* c2, const double* c3, int64_t n,
+                     double out[4]) {
+  float64x2_t a0 = vdupq_n_f64(0.0);
+  float64x2_t a1 = vdupq_n_f64(0.0);
+  float64x2_t a2 = vdupq_n_f64(0.0);
+  float64x2_t a3 = vdupq_n_f64(0.0);
+  int64_t i = 0;
+  for (; i + 2 <= n; i += 2) {
+    const float64x2_t vv = vld1q_f64(v + i);
+    a0 = vfmaq_f64(a0, vv, vld1q_f64(c0 + i));
+    a1 = vfmaq_f64(a1, vv, vld1q_f64(c1 + i));
+    a2 = vfmaq_f64(a2, vv, vld1q_f64(c2 + i));
+    a3 = vfmaq_f64(a3, vv, vld1q_f64(c3 + i));
+  }
+  double s0 = vaddvq_f64(a0);
+  double s1 = vaddvq_f64(a1);
+  double s2 = vaddvq_f64(a2);
+  double s3 = vaddvq_f64(a3);
+  for (; i < n; ++i) {
+    s0 = std::fma(v[i], c0[i], s0);
+    s1 = std::fma(v[i], c1[i], s1);
+    s2 = std::fma(v[i], c2[i], s2);
+    s3 = std::fma(v[i], c3[i], s3);
+  }
+  out[0] = s0;
+  out[1] = s1;
+  out[2] = s2;
+  out[3] = s3;
+}
+
+#endif  // RMA_SIMD_AVX2 / RMA_SIMD_NEON
 
 }  // namespace detail
 
@@ -511,12 +578,16 @@ inline void Unpack4(const double* src, int64_t stride, int64_t n, double* c0,
 }
 
 /// Four dot products sharing one pass over `v`: out[q] = Σ v[i]*c_q[i].
-/// Lane-associated like Dot.
+/// out[q] is bit-identical to Dot(v, c_q, n) on the same path, so a caller
+/// may send any column through either form (e.g. wherever a thread split
+/// falls) and get the same result.
 inline void Dot4(const double* v, const double* c0, const double* c1,
                  const double* c2, const double* c3, int64_t n,
                  double out[4]) {
 #if defined(RMA_SIMD_AVX2)
   if (Enabled()) return detail::Dot4Avx2(v, c0, c1, c2, c3, n, out);
+#elif defined(RMA_SIMD_NEON)
+  if (Enabled()) return detail::Dot4Neon(v, c0, c1, c2, c3, n, out);
 #endif
   double s0 = 0.0, s1 = 0.0, s2 = 0.0, s3 = 0.0;
   for (int64_t i = 0; i < n; ++i) {

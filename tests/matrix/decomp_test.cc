@@ -177,6 +177,35 @@ TEST(Qr, ParallelMatchesSingleThread) {
   EXPECT_TRUE(r1.AllClose(r2, 0.0));
 }
 
+TEST(Qr, ExplicitThreadCountsAreBitIdentical) {
+  // Explicit worker counts cut the 70 columns of Q at 35, 24/48 and
+  // 18/36/54 (and the trailing update's [j+1, 70) at other places that are
+  // not multiples of four), so a column falls into a four-column Dot4 group
+  // on one count and into the single-column Dot leftovers on another.
+  // Unlike threads=0 this does not depend on the host's core count.
+  const DenseMatrix a = RandomMatrix(4000, 70, 21);
+  DenseMatrix q1;
+  DenseMatrix r1;
+  ASSERT_OK(HouseholderQr(a, &q1, &r1, /*threads=*/1));
+  for (int threads : {2, 3, 4}) {
+    DenseMatrix q;
+    DenseMatrix r;
+    ASSERT_OK(HouseholderQr(a, &q, &r, threads));
+    EXPECT_TRUE(q1.AllClose(q, 0.0)) << "threads=" << threads;
+    EXPECT_TRUE(r1.AllClose(r, 0.0)) << "threads=" << threads;
+  }
+  // FullQ accumulates all 600 columns of Q, which crosses the parallel
+  // threshold on every reflector.
+  const DenseMatrix tall = RandomMatrix(600, 5, 22);
+  DenseMatrix qf1;
+  ASSERT_OK(FullQ(tall, &qf1, /*threads=*/1));
+  for (int threads : {2, 3, 4}) {
+    DenseMatrix qf;
+    ASSERT_OK(FullQ(tall, &qf, threads));
+    EXPECT_TRUE(qf1.AllClose(qf, 0.0)) << "FullQ threads=" << threads;
+  }
+}
+
 TEST(Qr, RowPermutationOnlyPermutesQ) {
   // The property behind the qqr sort-avoidance optimization.
   const DenseMatrix a = RandomMatrix(12, 4, 17);

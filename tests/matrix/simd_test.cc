@@ -7,6 +7,7 @@
 
 #include <cmath>
 #include <cstdint>
+#include <cstring>
 #include <limits>
 #include <vector>
 
@@ -155,6 +156,40 @@ TEST(SimdParity, ReductionsMatchScalarWithinTolerance) {
                                                  << " n=" << n;
     }
   }
+}
+
+// --- grouped forms: bit-identical to the single-column form, column by column
+
+uint64_t Bits(double x) {
+  uint64_t b;
+  std::memcpy(&b, &x, sizeof b);
+  return b;
+}
+
+// Dot4(v, c0..c3)[q] must equal Dot(v, c_q) bit for bit on the same path:
+// callers (the Householder trailing update, MatVec) send a column through
+// either form depending on where a thread split falls.
+void ExpectDot4MatchesDot(const char* path) {
+  for (int64_t n : EdgeLengths()) {
+    const std::vector<double> v = RandomVec(n, 1100 + static_cast<uint64_t>(n));
+    std::vector<std::vector<double>> c;
+    for (uint64_t q = 0; q < 4; ++q) {
+      c.push_back(RandomVec(n, 1200 + 10 * q + static_cast<uint64_t>(n)));
+    }
+    double grouped[4];
+    simd::Dot4(v.data(), c[0].data(), c[1].data(), c[2].data(), c[3].data(),
+               n, grouped);
+    for (size_t q = 0; q < 4; ++q) {
+      EXPECT_EQ(Bits(grouped[q]), Bits(simd::Dot(v.data(), c[q].data(), n)))
+          << path << " q=" << q << " n=" << n;
+    }
+  }
+}
+
+TEST(SimdParity, Dot4BitIdenticalToDotPerColumn) {
+  ExpectDot4MatchesDot(simd::IsaName());
+  ScopedScalar scalar;
+  ExpectDot4MatchesDot("scalar");
 }
 
 TEST(SimdParity, EmptyReductionsAreZero) {
