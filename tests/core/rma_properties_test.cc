@@ -11,6 +11,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstddef>
+#include <cstring>
+#include <ostream>
 
 #include "core/constructors.h"
 #include "core/kernels.h"
@@ -31,6 +34,26 @@ struct UnaryCase {
   uint64_t seed;
   bool symmetric_input;  // evc/evl/chf need symmetric (SPD) inputs
 };
+
+// gtest prints a parameter that has no operator<< as its raw bytes, and
+// ctest names each discovered test after that print-out. The padding bytes
+// of a case struct are never written, so they hold whatever the stack held
+// (often address-randomised pointers) and the test names changed from run to
+// run. PrintTo renders the same bytes with the padding zeroed.
+template <typename T>
+void PutField(unsigned char* bytes, size_t offset, const T& field) {
+  std::memcpy(bytes + offset, &field, sizeof field);
+}
+
+void PrintTo(const UnaryCase& c, std::ostream* os) {
+  unsigned char bytes[sizeof(UnaryCase)] = {};
+  PutField(bytes, offsetof(UnaryCase, op), c.op);
+  PutField(bytes, offsetof(UnaryCase, rows), c.rows);
+  PutField(bytes, offsetof(UnaryCase, cols), c.cols);
+  PutField(bytes, offsetof(UnaryCase, seed), c.seed);
+  PutField(bytes, offsetof(UnaryCase, symmetric_input), c.symmetric_input);
+  ::testing::internal::PrintBytesInObjectTo(bytes, sizeof bytes, os);
+}
 
 std::string UnaryCaseName(const ::testing::TestParamInfo<UnaryCase>& info) {
   return std::string(GetOpInfo(info.param.op).name) + "_" +
@@ -243,6 +266,17 @@ struct BinaryCase {
   int cols_s;
   uint64_t seed;
 };
+
+void PrintTo(const BinaryCase& c, std::ostream* os) {
+  unsigned char bytes[sizeof(BinaryCase)] = {};
+  PutField(bytes, offsetof(BinaryCase, op), c.op);
+  PutField(bytes, offsetof(BinaryCase, rows_r), c.rows_r);
+  PutField(bytes, offsetof(BinaryCase, cols_r), c.cols_r);
+  PutField(bytes, offsetof(BinaryCase, rows_s), c.rows_s);
+  PutField(bytes, offsetof(BinaryCase, cols_s), c.cols_s);
+  PutField(bytes, offsetof(BinaryCase, seed), c.seed);
+  ::testing::internal::PrintBytesInObjectTo(bytes, sizeof bytes, os);
+}
 
 std::string BinaryCaseName(const ::testing::TestParamInfo<BinaryCase>& info) {
   return std::string(GetOpInfo(info.param.op).name) + "_s" +
