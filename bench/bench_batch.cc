@@ -234,10 +234,12 @@ void RunSubtreeScheduler(int64_t tuples, int app_cols) {
     db.Query(q).ValueOrDie();
     db.rma_options.concurrent_subtrees = false;
     const double serial =
-        TimeBest(BenchReps(3), [&] { db.Query(q).ValueOrDie(); });
+        TimeBest(BenchReps(3),
+                 [&] { DoNotOptimize(db.Query(q).ValueOrDie()); });
     db.rma_options.concurrent_subtrees = true;
     const double concurrent =
-        TimeBest(BenchReps(3), [&] { db.Query(q).ValueOrDie(); });
+        TimeBest(BenchReps(3),
+                 [&] { DoNotOptimize(db.Query(q).ValueOrDie()); });
     char speedup[32];
     std::snprintf(speedup, sizeof(speedup), "%.2fx",
                   concurrent > 0 ? serial / concurrent : 0.0);

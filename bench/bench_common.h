@@ -26,6 +26,14 @@ double TimeIt(const std::function<void()>& fn);
 /// single TimeIt cannot (the perf gate diffs these numbers across runs).
 double TimeBest(int reps, const std::function<void()>& fn);
 
+/// Keeps `value` (and the work that produced it) alive through the
+/// optimizer, like google-benchmark's DoNotOptimize: a timed lambda that
+/// drops its result lets a Release build delete the work it meant to time.
+template <typename T>
+inline void DoNotOptimize(const T& value) {
+  asm volatile("" : : "r,m"(value) : "memory");
+}
+
 /// Repetition count for best-of-N measurements: RMA_BENCH_REPS when set to
 /// a positive integer, else `default_reps`. Baseline regeneration exports a
 /// higher count to tighten the noise floor without slowing ordinary runs.

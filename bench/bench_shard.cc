@@ -54,7 +54,7 @@ Measured TimeOp(const RmaOptions& opts, MatrixOp op, const Relation& r,
   Measured m;
   m.seconds = TimeBest(BenchReps(3), [&] {
     ExecContext ctx(opts);
-    RmaBinary(&ctx, op, r, order_r, s, order_s).ValueOrDie();
+    DoNotOptimize(RmaBinary(&ctx, op, r, order_r, s, order_s).ValueOrDie());
     if (!ctx.plans().empty()) m.shards = ctx.plans().back().shards;
   });
   return m;

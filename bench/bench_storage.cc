@@ -87,7 +87,8 @@ void Run() {
     auto store = PagedStore::Open(dir, opts).ValueOrDie();
     const Relation paged = store->SaveTable("m", r).ValueOrDie();
     ScanOnce(paged);  // fault everything in
-    const double secs = TimeBest(BenchReps(3), [&] { ScanOnce(paged); });
+    const double secs =
+        TimeBest(BenchReps(3), [&] { DoNotOptimize(ScanOnce(paged)); });
     const BufferPoolStats stats = store->pool()->stats();
     table.AddRow({"warm scan", Secs(secs), "2x data",
                   std::to_string(stats.evictions)});
@@ -104,7 +105,8 @@ void Run() {
     auto store = PagedStore::Open(dir, opts).ValueOrDie();
     const Relation paged = store->SaveTable("m", r).ValueOrDie();
     ScanOnce(paged);
-    const double secs = TimeBest(BenchReps(3), [&] { ScanOnce(paged); });
+    const double secs =
+        TimeBest(BenchReps(3), [&] { DoNotOptimize(ScanOnce(paged)); });
     const BufferPoolStats stats = store->pool()->stats();
     if (stats.evictions == 0) {
       std::fprintf(stderr,

@@ -93,6 +93,23 @@ Result<std::vector<BatPtr>> DispatchUnary(ExecContext& ctx, const OpPlan& plan,
     ctx.RecordStage(Stage::kKernel, timer.Seconds());
     return ColumnsToBats(std::move(base));
   }
+  if (op == MatrixOp::kQqr || op == MatrixOp::kRqr) {
+    // Column-major QR: the gathered columns are factored in place (TSQR for
+    // tall inputs) and become the result BATs, so neither direction makes a
+    // row-major copy. rqr keeps R and skips forming Q.
+    kernel::Columns cols = GatherColumns(p);
+    ctx.RecordStage(Stage::kGather, timer.Seconds());
+    timer.Restart();
+    kernel::Columns r(static_cast<size_t>(k),
+                      std::vector<double>(static_cast<size_t>(k)));
+    RMA_RETURN_NOT_OK(kernel::DenseQr(&cols, &r, op == MatrixOp::kQqr));
+    ctx.RecordStage(Stage::kKernel, timer.Seconds());
+    timer.Restart();
+    std::vector<BatPtr> bats =
+        ColumnsToBats(op == MatrixOp::kQqr ? std::move(cols) : std::move(r));
+    ctx.RecordStage(Stage::kScatter, timer.Seconds());
+    return bats;
+  }
   const DenseMatrix in = GatherMatrix(p);
   ctx.RecordStage(Stage::kGather, timer.Seconds());
   timer.Restart();

@@ -54,8 +54,10 @@ Status CheckBinaryDims(const OpInfo& info, const PreparedArg& r,
 /// BATs -> contiguous copy that Fig. 14 measures).
 DenseMatrix GatherMatrix(const PreparedArg& p);
 
-/// Extracts the application part as per-column double vectors (the working
-/// format of the column-at-a-time kernels).
+/// Extracts the application part as per-column double vectors in prepared
+/// row order: the working format of the column-at-a-time kernels, and of
+/// the dense qqr/rqr kernel, whose columns become the result BATs. Columns
+/// are split across worker threads.
 kernel::Columns GatherColumns(const PreparedArg& p);
 
 // --- dispatch.cc ------------------------------------------------------------

@@ -225,6 +225,16 @@ bool HasBatKernel(MatrixOp op) {
   }
 }
 
+Status DenseQr(Columns* a, Columns* r, bool form_q) {
+  std::vector<double*> ac(a->size());
+  for (size_t j = 0; j < a->size(); ++j) ac[j] = (*a)[j].data();
+  std::vector<double*> rc(r->size());
+  for (size_t j = 0; j < r->size(); ++j) rc[j] = (*r)[j].data();
+  return HouseholderQrInPlace(ac.data(), NumRows(*a),
+                              static_cast<int64_t>(a->size()), rc.data(),
+                              form_q);
+}
+
 namespace {
 
 DenseMatrix DiagFromSigma(const std::vector<double>& sigma, int64_t k) {

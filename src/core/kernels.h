@@ -59,6 +59,11 @@ bool HasBatKernel(MatrixOp op);
 
 // --- contiguous (dense) kernel dispatch ------------------------------------
 
+/// Householder QR over the columns themselves (HouseholderQrInPlace: TSQR
+/// for tall inputs). `a` becomes the thin Q when `form_q`, scratch
+/// otherwise; `r` must hold k columns of k rows and receives R.
+Status DenseQr(Columns* a, Columns* r, bool form_q);
+
 /// Computes the base result of `op` on dense input(s); `b` is null for
 /// unary operations. Shape prerequisites are validated by the caller.
 Result<DenseMatrix> DenseCompute(MatrixOp op, const DenseMatrix& a,

@@ -1,14 +1,19 @@
+#include <algorithm>
 #include <memory>
 #include <utility>
 
 #include "core/constructors.h"
 #include "core/exec_internal.h"
+#include "matrix/parallel.h"
 #include "storage/bat_ops.h"
 #include "util/timer.h"
 
 namespace rma::internal {
 
 namespace {
+
+/// Elements per gather worker below which GatherColumns stays on one thread.
+constexpr int64_t kGatherGrain = int64_t{1} << 16;
 
 bool IsIdentity(const std::vector<int64_t>& perm) {
   for (size_t i = 0; i < perm.size(); ++i) {
@@ -260,8 +265,31 @@ DenseMatrix GatherMatrix(const PreparedArg& p) {
 }
 
 kernel::Columns GatherColumns(const PreparedArg& p) {
-  kernel::Columns cols(static_cast<size_t>(p.app_cols()));
-  for (size_t j = 0; j < cols.size(); ++j) cols[j] = p.AppColumnDense(j);
+  const int64_t n = p.rows;
+  const int64_t k = p.app_cols();
+  kernel::Columns cols(static_cast<size_t>(k));
+  // Reserve here, fill on the workers: the buffers come from the calling
+  // thread's heap, their first-touch page faults spread across the workers,
+  // and no zero-fill pass precedes the copy.
+  for (auto& c : cols) c.reserve(static_cast<size_t>(n));
+  ParallelFor(
+      0, k,
+      [&](int64_t lo, int64_t hi) {
+        for (int64_t j = lo; j < hi; ++j) {
+          const size_t jj = static_cast<size_t>(j);
+          std::vector<double>& out = cols[jj];
+          const Bat& col = *p.rel.column(p.split.app_idx[jj]);
+          const double* d = col.ContiguousDoubleData();
+          if (d == nullptr) {
+            out = p.AppColumnDense(jj);
+          } else if (p.identity()) {
+            out.assign(d, d + n);
+          } else {
+            for (const int64_t i : p.perm) out.push_back(d[i]);
+          }
+        }
+      },
+      /*min_chunk=*/std::max<int64_t>(1, kGatherGrain / std::max<int64_t>(1, n)));
   return cols;
 }
 

@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <vector>
 
 #include "core/constructors.h"
 #include "core/rma.h"
@@ -82,6 +84,46 @@ TEST(RmaOps, RqrIsUpperTriangular) {
   ASSERT_EQ(rr.num_rows(), 2);
   EXPECT_EQ(ValueToDouble(rr.Get(1, 1)), 0.0);
   EXPECT_GT(ValueToDouble(rr.Get(0, 1)), 0.0);  // sign convention
+}
+
+TEST(RmaOps, QqrRqrBitIdenticalAcrossThreadBudgets) {
+  // 200 000 x 16 takes the row-blocked TSQR kernel. Its blocks follow the
+  // rows alone, so every budget gives the same bits. Explicit budgets keep
+  // the test independent of the host's core count; both sort policies run,
+  // so the gather is exercised with and without a permutation.
+  Rng rng(61);
+  const Relation r = testing::RandomKeyedRelation(200000, 16, &rng);
+  for (SortPolicy sort : {SortPolicy::kAlways, SortPolicy::kOptimized}) {
+    for (MatrixOp op : {MatrixOp::kQqr, MatrixOp::kRqr}) {
+      std::vector<std::vector<double>> first;
+      for (int threads : {1, 2, 3, 4}) {
+        RmaOptions opt;
+        opt.kernel = KernelPolicy::kContiguous;
+        opt.sort = sort;
+        opt.max_threads = threads;
+        const Relation out = RmaUnary(op, r, {"id"}, opt).ValueOrDie();
+        std::vector<std::vector<double>> cols;
+        for (int c = 0; c < out.num_columns(); ++c) {
+          if (out.schema().attribute(c).type != DataType::kDouble) continue;
+          cols.push_back(ToDoubleVector(*out.column(c)));
+        }
+        ASSERT_EQ(cols.size(), 16u);
+        if (threads == 1) {
+          first = std::move(cols);
+          continue;
+        }
+        ASSERT_EQ(cols.size(), first.size());
+        for (size_t c = 0; c < cols.size(); ++c) {
+          ASSERT_EQ(cols[c].size(), first[c].size());
+          EXPECT_EQ(std::memcmp(cols[c].data(), first[c].data(),
+                                cols[c].size() * sizeof(double)),
+                    0)
+              << GetOpInfo(op).name << " column " << c
+              << " threads=" << threads;
+        }
+      }
+    }
+  }
 }
 
 TEST(RmaOps, DetOfKnownMatrix) {

@@ -3,9 +3,12 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <limits>
+#include <vector>
 
 #include "matrix/blas.h"
+#include "matrix/parallel.h"
 #include "test_util.h"
 #include "util/random.h"
 
@@ -152,6 +155,38 @@ TEST(Blas, ElementwiseOps) {
   EXPECT_EQ(sum(1, 1), 44);
   EXPECT_EQ(diff(0, 1), 18);
   EXPECT_EQ(prod(1, 0), 90);
+}
+
+TEST(Blas, ThreadCountsAreBitIdentical) {
+  // Each kernel splits its output rows across workers; every output element
+  // must follow one accumulation order whatever the split. The shapes give
+  // every kernel several chunks at 2, 3 and 4 workers and leave ragged tails
+  // in the rank-4 row groups (203 rows) and in the vector lanes (29, 67 and
+  // 301 columns).
+  const DenseMatrix a = RandomMatrix(1003, 37, 71);
+  const DenseMatrix b = RandomMatrix(37, 29, 72);
+  const DenseMatrix wide = RandomMatrix(203, 750, 73);
+  const DenseMatrix narrow = RandomMatrix(203, 67, 74);
+  const DenseMatrix sq = RandomMatrix(203, 301, 75);
+  const auto run = [&](int threads) {
+    ScopedThreadBudget budget(threads);
+    return std::vector<DenseMatrix>{blas::MatMul(a, b).ValueOrDie(),
+                                    blas::CrossProd(wide, narrow).ValueOrDie(),
+                                    blas::Syrk(sq)};
+  };
+  const std::vector<DenseMatrix> one = run(1);
+  for (int threads : {2, 3, 4}) {
+    const std::vector<DenseMatrix> got = run(threads);
+    for (size_t i = 0; i < one.size(); ++i) {
+      ASSERT_EQ(got[i].rows(), one[i].rows());
+      ASSERT_EQ(got[i].cols(), one[i].cols());
+      EXPECT_EQ(std::memcmp(got[i].data(), one[i].data(),
+                            static_cast<size_t>(one[i].rows() * one[i].cols()) *
+                                sizeof(double)),
+                0)
+          << "kernel " << i << " threads=" << threads;
+    }
+  }
 }
 
 TEST(Blas, MatVec) {

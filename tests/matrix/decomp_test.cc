@@ -2,7 +2,11 @@
 // randomized inputs (TEST_P sweeps).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstring>
+#include <string>
+#include <vector>
 
 #include "matrix/blas.h"
 #include "matrix/cholesky.h"
@@ -241,6 +245,182 @@ TEST(Qr, FullQExtendsThinQ) {
   EXPECT_TRUE(qtq.AllClose(DenseMatrix::Identity(9), 1e-9));
   for (int64_t i = 0; i < 9; ++i) {
     for (int64_t j = 0; j < 3; ++j) EXPECT_NEAR(qf(i, j), q(i, j), 1e-9);
+  }
+}
+
+// --- TSQR: tall inputs factor row blocks and merge their R factors -------------
+
+// Bitwise equality (AllClose(·, 0.0) would let -0.0 match +0.0).
+bool BitIdentical(const DenseMatrix& a, const DenseMatrix& b) {
+  return a.rows() == b.rows() && a.cols() == b.cols() &&
+         std::memcmp(a.data(), b.data(),
+                     static_cast<size_t>(a.rows() * a.cols()) *
+                         sizeof(double)) == 0;
+}
+
+double MaxAbs(const DenseMatrix& a) {
+  double m = 0.0;
+  for (int64_t i = 0; i < a.rows(); ++i) {
+    for (int64_t j = 0; j < a.cols(); ++j) m = std::max(m, std::fabs(a(i, j)));
+  }
+  return m;
+}
+
+// Q orthonormal, QR = A relative to max|A|, R upper triangular with
+// diag(R) >= 0.
+void ExpectValidQr(const DenseMatrix& a, const DenseMatrix& q,
+                   const DenseMatrix& r, double tol) {
+  const int64_t k = a.cols();
+  const DenseMatrix qtq = blas::CrossProd(q, q).ValueOrDie();
+  EXPECT_LE(qtq.MaxAbsDiff(DenseMatrix::Identity(k)), tol);
+  const DenseMatrix qr = blas::MatMul(q, r).ValueOrDie();
+  EXPECT_LE(qr.MaxAbsDiff(a), tol * MaxAbs(a));
+  for (int64_t i = 0; i < k; ++i) {
+    EXPECT_GE(r(i, i), 0.0) << "i=" << i;
+    for (int64_t j = 0; j < i; ++j) EXPECT_EQ(r(i, j), 0.0);
+  }
+}
+
+// Factors at threads=1 and checks 2, 3 and 4 workers reproduce them bit for
+// bit: the block shape follows the rows alone.
+void ExpectThreadCountsBitIdentical(const DenseMatrix& a) {
+  DenseMatrix q1, r1;
+  ASSERT_OK(HouseholderQr(a, &q1, &r1, /*threads=*/1));
+  for (int threads : {2, 3, 4}) {
+    DenseMatrix q, r;
+    ASSERT_OK(HouseholderQr(a, &q, &r, threads));
+    EXPECT_TRUE(BitIdentical(q1, q)) << "threads=" << threads;
+    EXPECT_TRUE(BitIdentical(r1, r)) << "threads=" << threads;
+  }
+}
+
+TEST(Tsqr, RowBlocksFollowTheShapeOnly) {
+  constexpr int64_t kB = kTsqrBlockRows;
+  EXPECT_EQ(QrRowBlocks(2 * kB - 1, 16), 1);
+  EXPECT_EQ(QrRowBlocks(2 * kB, 16), 2);
+  EXPECT_EQ(QrRowBlocks(3 * kB + 1000, 16), 3);
+  EXPECT_EQ(QrRowBlocks(200000, 16), 200000 / kB);
+  EXPECT_EQ(QrRowBlocks(2 * kB, kTsqrMaxCols), 2);
+  EXPECT_EQ(QrRowBlocks(200000, kTsqrMaxCols + 1), 1);  // wide: plain
+}
+
+TEST(Tsqr, ShapesAroundTheBlockThreshold) {
+  // Just below the threshold (one block, the plain Householder), at it, just
+  // above it, and a row count that is no multiple of the block height.
+  constexpr int64_t kB = kTsqrBlockRows;
+  for (int64_t n : {2 * kB - 1, 2 * kB, 2 * kB + 1, 3 * kB + 1000}) {
+    SCOPED_TRACE("n=" + std::to_string(n));
+    const DenseMatrix a = RandomMatrix(n, 7, 40 + static_cast<uint64_t>(n));
+    DenseMatrix q, r, gq, gr;
+    ASSERT_OK(HouseholderQr(a, &q, &r));
+    ExpectValidQr(a, q, r, 1e-12);
+    ASSERT_OK(GramSchmidtQr(a, &gq, &gr));
+    EXPECT_LE(r.MaxAbsDiff(gr), 1e-12 * MaxAbs(r));
+    EXPECT_LE(q.MaxAbsDiff(gq), 1e-12);
+    ExpectThreadCountsBitIdentical(a);
+  }
+}
+
+TEST(Tsqr, RWithoutQMatchesRWithQ) {
+  // rqr skips forming Q; R must not depend on that.
+  const int64_t n = 3 * kTsqrBlockRows + 1000;
+  const int64_t k = 5;
+  const DenseMatrix a = RandomMatrix(n, k, 44);
+  std::vector<std::vector<double>> store[2];
+  std::vector<std::vector<double>> rs[2];
+  for (int form_q = 0; form_q < 2; ++form_q) {
+    store[form_q].assign(k, std::vector<double>(n));
+    rs[form_q].assign(k, std::vector<double>(k));
+    std::vector<double*> cols, rc;
+    for (int64_t j = 0; j < k; ++j) {
+      for (int64_t i = 0; i < n; ++i) store[form_q][j][i] = a(i, j);
+      cols.push_back(store[form_q][j].data());
+      rc.push_back(rs[form_q][j].data());
+    }
+    ASSERT_OK(HouseholderQrInPlace(cols.data(), n, k, rc.data(), form_q == 1));
+  }
+  EXPECT_EQ(rs[0], rs[1]);
+}
+
+TEST(Tsqr, ColumnZeroInsideOneBlockOnly) {
+  // Column 2 vanishes on the rows of block 1: that block's reflector for the
+  // column is the identity (beta = 0) while the other blocks' are not.
+  const int64_t n = 3 * kTsqrBlockRows + 1000;
+  DenseMatrix a = RandomMatrix(n, 6, 45);
+  for (int64_t i = n / 3; i < 2 * n / 3; ++i) a(i, 2) = 0.0;
+  DenseMatrix q, r, gq, gr;
+  ASSERT_OK(HouseholderQr(a, &q, &r));
+  ExpectValidQr(a, q, r, 1e-12);
+  ASSERT_OK(GramSchmidtQr(a, &gq, &gr));
+  EXPECT_LE(r.MaxAbsDiff(gr), 1e-12 * MaxAbs(r));
+  ExpectThreadCountsBitIdentical(a);
+}
+
+TEST(Tsqr, IllConditionedInput) {
+  // A = G·D·Vᵀ with G uniform, D = diag(10^0 … 10^-11), V orthogonal:
+  // cond(A) ≈ 1e10. Householder keeps Q orthonormal to rounding
+  // (‖QᵀQ − I‖ ≈ 5e-15 measured) where Gram-Schmidt loses ~cond·eps (~1e-6).
+  // QR reconstructs A to ~1e-13·max|A| (the scalar path's figure; AVX2
+  // gives 2e-14). Both R factors are backward stable, so they agree
+  // entry-wise to ~eps·‖R‖ (2e-15 measured). Every bound is 1e-12, which
+  // leaves head-room for other hosts and still fails Gram-Schmidt's Q.
+  const int64_t n = 3 * kTsqrBlockRows + 1000;
+  const int64_t k = 12;
+  DenseMatrix g = RandomMatrix(n, k, 46, -1.0, 1.0);
+  for (int64_t i = 0; i < n; ++i) {
+    for (int64_t j = 0; j < k; ++j) {
+      g(i, j) *= std::pow(10.0, -11.0 * static_cast<double>(j) / (k - 1));
+    }
+  }
+  DenseMatrix v, vr;
+  ASSERT_OK(GramSchmidtQr(RandomMatrix(k, k, 47), &v, &vr));
+  const DenseMatrix a = blas::MatMul(g, v.Transposed()).ValueOrDie();
+  DenseMatrix q, r, gq, gr;
+  ASSERT_OK(HouseholderQr(a, &q, &r));
+  EXPECT_GT(r(0, 0) / r(k - 1, k - 1), 1e9);  // the conditioning is real
+  ExpectValidQr(a, q, r, 1e-12);
+  ASSERT_OK(GramSchmidtQr(a, &gq, &gr));
+  EXPECT_LE(r.MaxAbsDiff(gr), 1e-12 * MaxAbs(r));
+  const DenseMatrix gtg = blas::CrossProd(gq, gq).ValueOrDie();
+  EXPECT_GT(gtg.MaxAbsDiff(DenseMatrix::Identity(k)), 1e-9);
+}
+
+TEST(Tsqr, NonFiniteInputPropagatesLikeOneBlock) {
+  // The same bad entry in a one-block input (2B-1 rows, plain Householder)
+  // and a three-block input: every entry the plain path leaves non-finite is
+  // non-finite under TSQR too, R's column of the bad entry is non-finite on
+  // and above the diagonal on both, and R's columns left of it stay finite.
+  const int64_t k = 6;
+  const int64_t bad_col = 3;
+  for (double bad : {std::nan(""), HUGE_VAL, -HUGE_VAL}) {
+    SCOPED_TRACE("bad=" + std::to_string(bad));
+    DenseMatrix one = RandomMatrix(2 * kTsqrBlockRows - 1, k, 48);
+    DenseMatrix three = RandomMatrix(3 * kTsqrBlockRows + 1000, k, 48);
+    one(5000, bad_col) = bad;
+    three(5000, bad_col) = bad;
+    ASSERT_EQ(QrRowBlocks(one.rows(), k), 1);
+    ASSERT_EQ(QrRowBlocks(three.rows(), k), 3);
+    DenseMatrix q1, r1, q3, r3;
+    ASSERT_OK(HouseholderQr(one, &q1, &r1));
+    ASSERT_OK(HouseholderQr(three, &q3, &r3));
+    for (int64_t i = 0; i < k; ++i) {
+      for (int64_t j = 0; j < k; ++j) {
+        if (!std::isfinite(r1(i, j))) EXPECT_FALSE(std::isfinite(r3(i, j)));
+        if (j < bad_col) {
+          EXPECT_TRUE(std::isfinite(r1(i, j)));
+          EXPECT_TRUE(std::isfinite(r3(i, j)));
+        }
+      }
+      if (i <= bad_col) {  // the bad column itself is lost on both paths
+        EXPECT_FALSE(std::isfinite(r1(i, bad_col)));
+        EXPECT_FALSE(std::isfinite(r3(i, bad_col)));
+      }
+    }
+    for (int64_t i = 0; i < one.rows(); ++i) {
+      for (int64_t j = 0; j < k; ++j) {
+        if (!std::isfinite(q1(i, j))) EXPECT_FALSE(std::isfinite(q3(i, j)));
+      }
+    }
   }
 }
 
